@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro.graph.scored import component_from, component_lists
 from repro.projection.ci_graph import CommonInteractionGraph
 
 __all__ = ["FusedEdge", "FusedGraph", "fuse_layers", "fuse_edge_maps"]
@@ -101,6 +102,13 @@ class FusedGraph:
             self.user_scores().items(), key=lambda kv: (-kv[1], kv[0])
         )
 
+    def _adjacency(self) -> dict[str, set[str]]:
+        adj: dict[str, set[str]] = {}
+        for edge in self.edges:
+            adj.setdefault(edge.a, set()).add(edge.b)
+            adj.setdefault(edge.b, set()).add(edge.a)
+        return adj
+
     def components(self, min_size: int = 2) -> list[list[str]]:
         """Connected components of the fused union graph.
 
@@ -108,28 +116,15 @@ class FusedGraph:
         list of components sorts by size descending, then members — the
         candidate multi-layer coordination networks.
         """
-        adj: dict[str, set[str]] = {}
-        for edge in self.edges:
-            adj.setdefault(edge.a, set()).add(edge.b)
-            adj.setdefault(edge.b, set()).add(edge.a)
-        seen: set[str] = set()
-        out: list[list[str]] = []
-        for root in sorted(adj):
-            if root in seen:
-                continue
-            stack, members = [root], []
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for nbr in adj[v]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            if len(members) >= min_size:
-                out.append(sorted(members))
-        out.sort(key=lambda m: (-len(m), m))
-        return out
+        return component_lists(self._adjacency(), str, min_size)
+
+    def component_of(self, author: str) -> list[str]:
+        """*author*'s sorted component in the fused union graph (empty
+        when the author has no fused edge)."""
+        adj = self._adjacency()
+        if author not in adj:
+            return []
+        return sorted(component_from(adj, author))
 
     def summary(self) -> str:
         """One line for reports."""

@@ -31,13 +31,13 @@ Layers (each usable on its own):
 - :mod:`repro.serve.shard` — :class:`ShardedDetectionService`, N
   supervised engine shards partitioning the query keyspace by stable
   user hash (:func:`shard_of`), with exact gateway-side merges for
-  top-k (k-way) and components (boundary-edge union-find); ingest is
+  top-k (k-way) and components (boundary-edge fragment union); ingest is
   either replicated or partitioned by page hash (:func:`page_shard_of`);
 - :mod:`repro.serve.exchange` — the page-mode partial-weight exchange:
   ingest shards publish ``w'``/``P'``/incidence partials over the shm
-  output path, :func:`merge_partials` sums them exactly, and
-  :class:`AggregateView` runs CI thresholding + triangle scoring once
-  over the merged weights;
+  output path, :func:`merge_partials` sums them exactly, and the tier
+  builds one :class:`~repro.graph.scored.ScoredGraph` (CI thresholding
+  + triangle scoring) over the merged weights;
 - :mod:`repro.serve.http` — :class:`HttpGateway`, the stdlib
   ``ThreadingHTTPServer`` front door (``/topk``, ``/user/<id>/score``,
   ``/component/<id>``, ``/status``, ``/metrics`` in Prometheus text
@@ -50,7 +50,6 @@ Layers (each usable on its own):
 
 from repro.serve.engine import BatchReport, DetectionEngine
 from repro.serve.exchange import (
-    AggregateView,
     MergedWeights,
     PartialExchangeError,
     PartialWeights,
@@ -81,7 +80,6 @@ from repro.serve.supervisor import DegradedError, ServeSupervisor
 from repro.serve.wal import WriteAheadLog, read_wal, wal_end_state
 
 __all__ = [
-    "AggregateView",
     "BatchReport",
     "Counter",
     "DetectionEngine",

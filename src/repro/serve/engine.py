@@ -10,15 +10,14 @@ over a sliding window of comments instead of re-running it per batch:
   page's before/after ``(x, y)`` pair sets into running ``w'`` edge
   weights and the ``P'`` ledger, so the common interaction graph is
   never rebuilt from scratch.
-- **Steps 2–3 become dirty-set maintenance** — the pairs whose ``w'``
-  actually changed in a batch (the *dirty edges*) are the only places
-  the thresholded graph, and therefore its triangle set, can change.
-  Triangles incident to a dirty edge are removed/added/re-weighted via
-  common-neighbor closure on the thresholded adjacency; scores
-  (``T`` of eq. 7, ``w_xyz``/``C`` of eqs. 2–4) are recomputed only for
-  triangles touching a dirty edge or a *dirty user* (one whose ``P'``
-  or live page set changed).  Per-batch cost is proportional to the
-  dirty set, not to the live graph.
+- **Steps 2–3 become dirty-set maintenance** — the engine hands each
+  batch's ``w'``, ``P'`` and incidence deltas to its
+  :class:`~repro.graph.scored.ScoredGraph`.  The pairs whose ``w'``
+  actually changed (the *dirty edges*) are the only places the
+  thresholded graph, and therefore its triangle set, can change, and
+  scores (``T`` of eq. 7, ``w_xyz``/``C`` of eqs. 2–4) are recomputed
+  only for triangles touching a dirty edge or a *dirty user* (one whose
+  ``P'`` or live page set changed).
 
 **Exactness contract.**  After *any* interleaving of appends,
 out-of-order arrivals, and evictions, every query answer equals a
@@ -41,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.filters import FilterReport
+from repro.graph.scored import ScoredGraph
 from repro.hypergraph.triplets import TripletMetrics
-from repro.kernels import normalized_score_scalar
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.framework import component_reports
 from repro.pipeline.results import PipelineResult
@@ -77,21 +76,6 @@ class BatchReport:
     def idle(self) -> bool:
         """Whether the update changed nothing at all."""
         return self.touched_pages == 0 and self.n_late_dropped == 0
-
-
-class _TriScore:
-    """Mutable per-triangle record: the three ``w'`` weights + scores."""
-
-    __slots__ = ("w_ab", "w_ac", "w_bc", "t", "w_xyz", "p_sum", "c")
-
-    def __init__(self, w_ab: int, w_ac: int, w_bc: int) -> None:
-        self.w_ab = w_ab
-        self.w_ac = w_ac
-        self.w_bc = w_bc
-        self.t = 0.0
-        self.w_xyz = 0
-        self.p_sum = 0
-        self.c = 0.0
 
 
 class DetectionEngine:
@@ -149,16 +133,9 @@ class DetectionEngine:
             self.config.window, pair_batch=self.config.pair_batch
         )
         self.evict_cutoff: int | None = None
-        # Running CI state: accumulated edge weights w' and the P' ledger
-        # (nonzero entries only), both keyed by dense user ids.
-        self._ci: dict[tuple[int, int], int] = {}
-        self._pprime: dict[int, int] = {}
-        # Live incidence: user id -> {page id: live comment count}.
-        self._user_pages: dict[int, dict[int, int]] = {}
-        # Thresholded adjacency and the triangle store over it.
-        self._adj: dict[int, dict[int, int]] = {}
-        self._tris: dict[tuple[int, int, int], _TriScore] = {}
-        self._tri_by_user: dict[int, set[tuple[int, int, int]]] = {}
+        # Running CI ledgers, thresholded graph and triangle scores, all
+        # keyed by dense user ids.
+        self.graph: ScoredGraph[int] = self._new_graph({}, {}, {})
         # Author-filter bookkeeping (decision cache + report data).
         self._filter_cache: dict[str, bool] = {}
         self._filtered_names: dict[str, None] = {}
@@ -288,51 +265,13 @@ class DetectionEngine:
                 for u in new_users - old_users:
                     pprime_delta[u] = pprime_delta.get(u, 0) + 1
 
-            dirty_users: set[int] = set()
-            for u, delta in pprime_delta.items():
-                if delta == 0:
-                    continue
-                new_val = self._pprime.get(u, 0) + delta
-                if new_val:
-                    self._pprime[u] = new_val
-                else:
-                    self._pprime.pop(u, None)
-                dirty_users.add(u)
-
-            # Live incidence maintenance (feeds p_x and w_xyz); a user
-            # whose distinct-page set changed is dirty for C/T rescoring.
-            for author, page, _t in appends:
-                uid = proj.user_names.id_of(author)
-                pid = proj.page_names.id_of(page)
-                pages = self._user_pages.setdefault(uid, {})
-                pages[pid] = pages.get(pid, 0) + 1
-                if pages[pid] == 1:
-                    dirty_users.add(uid)
-            for uid, pid in evicted_rows:
-                pages = self._user_pages[uid]
-                pages[pid] -= 1
-                if pages[pid] == 0:
-                    del pages[pid]
-                    dirty_users.add(uid)
-                    if not pages:
-                        del self._user_pages[uid]
-
-            # Thresholded-graph and triangle maintenance on dirty edges.
-            self._fold_edge_deltas(edge_delta)
-            dirty_edges = [
-                pair for pair, delta in sorted(edge_delta.items()) if delta
+            # Live incidence deltas (feed p_x and w_xyz).
+            incidence_delta = [
+                (proj.user_names.id_of(author), proj.page_names.id_of(page), 1)
+                for author, page, _t in appends
             ]
-            added, removed, rescore = self._update_triangles(dirty_edges)
-            for key in self._tris:
-                if key in rescore:
-                    continue
-                if (
-                    key[0] in dirty_users
-                    or key[1] in dirty_users
-                    or key[2] in dirty_users
-                ):
-                    rescore.add(key)
-            self._rescore(rescore)
+            incidence_delta.extend((uid, pid, -1) for uid, pid in evicted_rows)
+            update = self.graph.apply(edge_delta, pprime_delta, incidence_delta)
 
         m = self.metrics
         m.counter("engine.batches").inc()
@@ -340,20 +279,18 @@ class DetectionEngine:
         m.counter("engine.events_filtered").inc(n_filtered)
         m.counter("engine.events_late_dropped").inc(n_late)
         m.counter("engine.comments_evicted").inc(n_evicted)
-        m.counter("engine.dirty_edges").inc(len(dirty_edges))
-        m.counter("engine.dirty_users").inc(len(dirty_users))
-        m.counter("engine.triangles_added").inc(added)
-        m.counter("engine.triangles_removed").inc(removed)
-        m.counter("engine.rescored_triangles").inc(len(rescore))
-        m.gauge("engine.last_dirty_edges").set(len(dirty_edges))
-        m.gauge("engine.last_rescored_triangles").set(len(rescore))
+        m.counter("engine.dirty_edges").inc(update.dirty_edges)
+        m.counter("engine.dirty_users").inc(update.dirty_users)
+        m.counter("engine.triangles_added").inc(update.triangles_added)
+        m.counter("engine.triangles_removed").inc(update.triangles_removed)
+        m.counter("engine.rescored_triangles").inc(update.rescored_triangles)
+        m.gauge("engine.last_dirty_edges").set(update.dirty_edges)
+        m.gauge("engine.last_rescored_triangles").set(update.rescored_triangles)
         m.gauge("engine.live_comments").set(self.n_live_comments)
         m.gauge("engine.live_pages").set(self.proj.n_pages)
-        m.gauge("engine.ci_edges").set(len(self._ci))
-        m.gauge("engine.thresholded_edges").set(
-            sum(len(nbrs) for nbrs in self._adj.values()) // 2
-        )
-        m.gauge("engine.triangles").set(len(self._tris))
+        m.gauge("engine.ci_edges").set(len(self.graph.weights))
+        m.gauge("engine.thresholded_edges").set(self.graph.n_edges)
+        m.gauge("engine.triangles").set(self.graph.n_triangles)
         if self.evict_cutoff is not None:
             m.gauge("engine.evict_cutoff").set(self.evict_cutoff)
         return BatchReport(
@@ -362,11 +299,11 @@ class DetectionEngine:
             n_late_dropped=n_late,
             n_evicted=n_evicted,
             touched_pages=len(old_pairs),
-            dirty_edges=len(dirty_edges),
-            dirty_users=len(dirty_users),
-            triangles_added=added,
-            triangles_removed=removed,
-            rescored_triangles=len(rescore),
+            dirty_edges=update.dirty_edges,
+            dirty_users=update.dirty_users,
+            triangles_added=update.triangles_added,
+            triangles_removed=update.triangles_removed,
+            rescored_triangles=update.rescored_triangles,
         )
 
     def _pairs_of(self, pid: int) -> set[tuple[int, int]]:
@@ -376,123 +313,27 @@ class DetectionEngine:
         a, b = triples
         return set(zip(a.tolist(), b.tolist()))
 
-    def _update_triangles(
-        self, dirty_edges: list[tuple[int, int]]
-    ) -> tuple[int, int, set[tuple[int, int, int]]]:
-        """Fold dirty-edge deltas into ``w'``, the thresholded adjacency,
-        and the triangle store; returns (added, removed, keys to rescore).
-        """
-        cutoff = self.config.min_triangle_weight
-        adj = self._adj
-        added = removed = 0
-        rescore: set[tuple[int, int, int]] = set()
-        for u, v in dirty_edges:
-            new_w = self._ci.get((u, v), 0)
-            was_above = v in adj.get(u, ())
-            if new_w >= cutoff:
-                if was_above:
-                    adj[u][v] = new_w
-                    adj[v][u] = new_w
-                    for key in self._tris_with_edge(u, v):
-                        self._set_tri_weight(key, u, v, new_w)
-                        rescore.add(key)
-                else:
-                    nbrs_u = adj.setdefault(u, {})
-                    nbrs_v = adj.setdefault(v, {})
-                    common = nbrs_u.keys() & nbrs_v.keys()
-                    nbrs_u[v] = new_w
-                    nbrs_v[u] = new_w
-                    for w in common:
-                        key = tuple(sorted((u, v, w)))
-                        if key in self._tris:
-                            # Another dirty edge of the same new triangle
-                            # already closed it this batch.
-                            self._set_tri_weight(key, u, v, new_w)
-                            rescore.add(key)
-                            continue
-                        tri = _TriScore(0, 0, 0)
-                        self._tris[key] = tri
-                        self._set_tri_weight(key, u, v, new_w)
-                        self._set_tri_weight(key, u, w, nbrs_u[w])
-                        self._set_tri_weight(key, v, w, nbrs_v[w])
-                        for vertex in key:
-                            self._tri_by_user.setdefault(vertex, set()).add(key)
-                        rescore.add(key)
-                        added += 1
-            elif was_above:
-                del adj[u][v]
-                del adj[v][u]
-                if not adj[u]:
-                    del adj[u]
-                if not adj[v]:
-                    del adj[v]
-                for key in self._tris_with_edge(u, v):
-                    del self._tris[key]
-                    rescore.discard(key)
-                    for vertex in key:
-                        owners = self._tri_by_user[vertex]
-                        owners.discard(key)
-                        if not owners:
-                            del self._tri_by_user[vertex]
-                    removed += 1
-        return added, removed, rescore
-
-    def _tris_with_edge(self, u: int, v: int) -> list[tuple[int, int, int]]:
-        a = self._tri_by_user.get(u)
-        b = self._tri_by_user.get(v)
-        if not a or not b:
-            return []
-        return list(a & b)
-
-    def _set_tri_weight(
-        self, key: tuple[int, int, int], u: int, v: int, w: int
-    ) -> None:
-        tri = self._tris[key]
-        lo, hi = (u, v) if u < v else (v, u)
-        a, b, c = key
-        if (lo, hi) == (a, b):
-            tri.w_ab = w
-        elif (lo, hi) == (a, c):
-            tri.w_ac = w
-        else:
-            tri.w_bc = w
-
-    def _rescore(self, keys: set[tuple[int, int, int]]) -> None:
-        pprime = self._pprime
-        user_pages = self._user_pages
-        hyper = self.config.compute_hypergraph
-        for key in keys:
-            tri = self._tris.get(key)
-            if tri is None:
-                continue
-            a, b, c = key
-            min_w = min(tri.w_ab, tri.w_ac, tri.w_bc)
-            denom = pprime.get(a, 0) + pprime.get(b, 0) + pprime.get(c, 0)
-            # Same kernel as the batch path, so online and batch scores
-            # are bit-for-bit identical by construction.
-            tri.t = normalized_score_scalar(min_w, denom)
-            if hyper:
-                pa = user_pages.get(a, {})
-                pb = user_pages.get(b, {})
-                pc = user_pages.get(c, {})
-                sets = sorted((pa, pb, pc), key=len)
-                small = sets[0].keys() & sets[1].keys()
-                tri.w_xyz = (
-                    len(small & sets[2].keys()) if small else 0
-                )
-                tri.p_sum = len(pa) + len(pb) + len(pc)
-                tri.c = normalized_score_scalar(tri.w_xyz, tri.p_sum)
-
-    # -- edge-weight bookkeeping (kept next to the diff that feeds it) ---------
-    def _fold_edge_deltas(self, edge_delta: dict[tuple[int, int], int]) -> None:
-        for pair, delta in edge_delta.items():
-            if not delta:
-                continue
-            new_w = self._ci.get(pair, 0) + delta
-            if new_w:
-                self._ci[pair] = new_w
-            else:
-                self._ci.pop(pair, None)
+    def _new_graph(
+        self,
+        weights: dict[tuple[int, int], int],
+        pprime: dict[int, int],
+        incidence: dict[int, dict[int, int]],
+    ) -> ScoredGraph[int]:
+        # Names resolve through the projector at call time (compaction
+        # and restore replace its interners).  Closing over the projector,
+        # not the engine, keeps the engine free of reference cycles, so
+        # a dropped engine is freed at once rather than by the collector.
+        proj = self.proj
+        return ScoredGraph(
+            weights,
+            pprime,
+            incidence,
+            cutoff=self.config.min_triangle_weight,
+            hypergraph=self.config.compute_hypergraph,
+            min_component_size=self.config.min_component_size,
+            name_of=lambda uid: str(proj.user_names.key_of(uid)),
+            vertex_of=lambda author: proj.user_names.get(author),
+        )
 
     # -- compaction -------------------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -525,41 +366,20 @@ class DetectionEngine:
         self.metrics.counter("engine.compactions").inc()
 
     def _rebuild_from_projector(self) -> None:
+        # Release the old graph first: holding it while the new one is
+        # built would double the peak memory of every compaction.
+        self.graph = self._new_graph({}, {}, {})
         ci = self.proj.ci_graph()
-        self._ci = ci.edges.to_dict()
-        self._pprime = {
-            i: int(c) for i, c in enumerate(ci.page_counts) if c
-        }
         btm = self.proj.to_btm()
-        self._user_pages = {}
+        incidence: dict[int, dict[int, int]] = {}
         for uid, pid in zip(btm.users.tolist(), btm.pages.tolist()):
-            pages = self._user_pages.setdefault(uid, {})
+            pages = incidence.setdefault(uid, {})
             pages[pid] = pages.get(pid, 0) + 1
-        cutoff = self.config.min_triangle_weight
-        self._adj = {}
-        for (u, v), w in self._ci.items():
-            if w >= cutoff:
-                self._adj.setdefault(u, {})[v] = w
-                self._adj.setdefault(v, {})[u] = w
-        self._tris = {}
-        self._tri_by_user = {}
-        rescore: set[tuple[int, int, int]] = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if v <= u:
-                    continue
-                for w in nbrs.keys() & self._adj[v].keys():
-                    if w <= v:
-                        continue
-                    key = (u, v, w)
-                    tri = _TriScore(
-                        self._adj[u][v], self._adj[u][w], self._adj[v][w]
-                    )
-                    self._tris[key] = tri
-                    for vertex in key:
-                        self._tri_by_user.setdefault(vertex, set()).add(key)
-                    rescore.add(key)
-        self._rescore(rescore)
+        self.graph = self._new_graph(
+            ci.edges.to_dict(),
+            {i: int(c) for i, c in enumerate(ci.page_counts) if c},
+            incidence,
+        )
 
     # -- queries ----------------------------------------------------------------
     def top_k_triplets(self, k: int, by: str = "t") -> list[dict]:
@@ -573,41 +393,7 @@ class DetectionEngine:
         :func:`repro.analysis.export.top_triplets_rows`).
         """
         with self.metrics.time("engine.query"):
-            rows = self._triplet_rows()
-            key = self._rank_key(by)
-            rows.sort(key=lambda r: (-r[key], r["authors"]))
-            return rows[: max(int(k), 0)]
-
-    def _rank_key(self, by: str) -> str:
-        if by == "t":
-            return "t"
-        if by == "min_weight":
-            return "min_weight"
-        if by == "c":
-            if not self.config.compute_hypergraph:
-                raise ValueError(
-                    "ranking by C requires compute_hypergraph=True"
-                )
-            return "c"
-        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
-
-    def _triplet_rows(self) -> list[dict]:
-        name_of = self.proj.user_names.key_of
-        rows = []
-        for (a, b, c), tri in self._tris.items():
-            names = tuple(sorted((str(name_of(a)), str(name_of(b)), str(name_of(c)))))
-            rows.append(
-                {
-                    "authors": names,
-                    "min_weight": min(tri.w_ab, tri.w_ac, tri.w_bc),
-                    "weights": tuple(sorted((tri.w_ab, tri.w_ac, tri.w_bc))),
-                    "t": tri.t,
-                    "w_xyz": tri.w_xyz,
-                    "p_sum": tri.p_sum,
-                    "c": tri.c,
-                }
-            )
-        return rows
+            return self.graph.top_k_triplets(k, by)
 
     def user_score(self, author: str) -> dict:
         """Live per-author summary: ``P'``, page count, degree, best scores.
@@ -617,29 +403,7 @@ class DetectionEngine:
         must not throw on unknown names.
         """
         with self.metrics.time("engine.query"):
-            uid = self.proj.user_names.get(author)
-            if uid is None or uid not in self._user_pages:
-                return {
-                    "author": author,
-                    "present": False,
-                    "p_prime": 0,
-                    "pages": 0,
-                    "degree": 0,
-                    "n_triplets": 0,
-                    "best_t": 0.0,
-                    "best_c": 0.0,
-                }
-            tris = self._tri_by_user.get(uid, set())
-            return {
-                "author": author,
-                "present": True,
-                "p_prime": self._pprime.get(uid, 0),
-                "pages": len(self._user_pages.get(uid, {})),
-                "degree": len(self._adj.get(uid, {})),
-                "n_triplets": len(tris),
-                "best_t": max((self._tris[k].t for k in tris), default=0.0),
-                "best_c": max((self._tris[k].c for k in tris), default=0.0),
-            }
+            return self.graph.user_score(author)
 
     def component_of(self, author: str) -> list[str]:
         """Sorted member names of *author*'s thresholded-graph component.
@@ -650,99 +414,33 @@ class DetectionEngine:
         query).
         """
         with self.metrics.time("engine.query"):
-            uid = self.proj.user_names.get(author)
-            if uid is None or uid not in self._adj:
-                return []
-            seen = {uid}
-            frontier = [uid]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self._adj.get(u, ()):
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                frontier = nxt
-            name_of = self.proj.user_names.key_of
-            return sorted(str(name_of(u)) for u in seen)
+            return self.graph.component_of(author)
 
     def components(self) -> list[list[str]]:
         """All candidate networks (components ≥ ``min_component_size``),
         each as a sorted name list, largest first."""
         with self.metrics.time("engine.query"):
-            seen: set[int] = set()
-            out: list[list[str]] = []
-            name_of = self.proj.user_names.key_of
-            for start in sorted(self._adj):
-                if start in seen:
-                    continue
-                comp = {start}
-                frontier = [start]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        for v in self._adj.get(u, ()):
-                            if v not in comp:
-                                comp.add(v)
-                                nxt.append(v)
-                    frontier = nxt
-                seen |= comp
-                if len(comp) >= self.config.min_component_size:
-                    out.append(sorted(str(name_of(u)) for u in comp))
-            out.sort(key=lambda names: (-len(names), names))
-            return out
+            return self.graph.components()
 
-    def owned_top_k_triplets(
-        self, k: int, shard_id: int, n_shards: int, by: str = "t"
+    def owned_top_k(
+        self, k: int, by: str, shard_id: int, n_shards: int
     ) -> list[dict]:
         """The *k* best live triplets **owned** by one query shard.
 
-        Under the user-hash partition of the serving tier
-        (:func:`repro.serve.ingest.shard_of`) a triplet is owned by the
-        shard of its lexicographically-first author, so every triplet is
-        owned exactly once.  Each shard's owned list is the global
-        ranking restricted to its keyspace — any global top-k row is
-        therefore within the first k of its owner's list, which makes
-        the gateway's k-way merge (:func:`repro.serve.shard.merge_topk`)
-        exact.  Rows and ordering are identical to
-        :meth:`top_k_triplets` restricted to owned triplets.
+        See :meth:`repro.graph.scored.ScoredGraph.owned_top_k`: each
+        triplet is owned by the user-hash shard of its
+        lexicographically-first author, which makes the gateway's k-way
+        merge (:func:`repro.serve.shard.merge_topk`) exact.
         """
-        from repro.serve.ingest import shard_of
-
-        rows = self.top_k_triplets(len(self._tris), by=by)
-        owned = [
-            r for r in rows if shard_of(r["authors"][0], n_shards) == shard_id
-        ]
-        return owned[: max(int(k), 0)]
-
-    def owned_component_fragment(
-        self, shard_id: int, n_shards: int
-    ) -> dict[str, list]:
-        """This shard's fragment of the thresholded graph, name-keyed.
-
-        ``vertices`` are the owned users present in the thresholded
-        adjacency; ``edges`` every edge incident to an owned vertex as a
-        sorted name pair — *including* boundary edges whose far end
-        another shard owns.  Unioning all shards' fragments (gateway
-        union-find, :func:`repro.serve.shard.merge_components`) rebuilds
-        the full component structure exactly: every vertex appears in
-        one fragment, every edge in at least one.
-        """
-        from repro.serve.ingest import shard_of
-
         with self.metrics.time("engine.query"):
-            name_of = self.proj.user_names.key_of
-            vertices: list[str] = []
-            edges: set[tuple[str, str]] = set()
-            for u, nbrs in self._adj.items():
-                un = str(name_of(u))
-                if shard_of(un, n_shards) != shard_id:
-                    continue
-                vertices.append(un)
-                for v in nbrs:
-                    vn = str(name_of(v))
-                    edges.add((un, vn) if un <= vn else (vn, un))
-            return {"vertices": sorted(vertices), "edges": sorted(edges)}
+            return self.graph.owned_top_k(k, by, shard_id, n_shards)
+
+    def owned_fragment(self, shard_id: int, n_shards: int) -> dict[str, list]:
+        """This shard's name-keyed fragment of the thresholded graph,
+        boundary edges included (see
+        :meth:`repro.graph.scored.ScoredGraph.owned_fragment`)."""
+        with self.metrics.time("engine.query"):
+            return self.graph.owned_fragment(shard_id, n_shards)
 
     def snapshot(self) -> PipelineResult:
         """Export the live state as a batch-compatible
@@ -757,10 +455,10 @@ class DetectionEngine:
         with self.metrics.time("engine.snapshot"):
             ci = self.proj.ci_graph()
             ci_thr = ci.threshold(self.config.min_triangle_weight)
-            keys = sorted(self._tris)
+            keys = sorted(self.graph.triangles)
             if keys:
                 arr = np.asarray(keys, dtype=np.int64)
-                tris = [self._tris[k] for k in keys]
+                tris = [self.graph.triangles[k] for k in keys]
                 triangles = TriangleSet(
                     a=arr[:, 0],
                     b=arr[:, 1],
@@ -826,11 +524,9 @@ class DetectionEngine:
             "interned_users": stats["interned_users"],
             "interned_pages": stats["interned_pages"],
             "evict_cutoff": self.evict_cutoff,
-            "ci_edges": len(self._ci),
-            "thresholded_edges": sum(
-                len(nbrs) for nbrs in self._adj.values()
-            ) // 2,
-            "triangles": len(self._tris),
+            "ci_edges": len(self.graph.weights),
+            "thresholded_edges": self.graph.n_edges,
+            "triangles": self.graph.n_triangles,
             "filtered_comments": self._filtered_comments,
             "metrics": self.metrics.to_dict(),
         }
@@ -844,26 +540,19 @@ class DetectionEngine:
     @property
     def n_triangles(self) -> int:
         """Triangles currently above the cutoff."""
-        return len(self._tris)
+        return self.graph.n_triangles
 
     def ci_edges(self) -> dict[tuple[str, str], int]:
         """Current ``w'`` weights keyed by sorted author-name pairs."""
-        name_of = self.proj.user_names.key_of
-        out: dict[tuple[str, str], int] = {}
-        for (u, v), w in self._ci.items():
-            a, b = str(name_of(u)), str(name_of(v))
-            out[(a, b) if a <= b else (b, a)] = w
-        return out
+        return self.graph.ci_edges()
 
     def page_counts(self) -> dict[str, int]:
         """Nonzero ``P'`` entries keyed by author name."""
-        name_of = self.proj.user_names.key_of
-        return {str(name_of(u)): c for u, c in self._pprime.items()}
+        return self.graph.page_counts()
 
     def live_authors(self) -> list[str]:
         """Sorted names of authors with at least one live comment."""
-        name_of = self.proj.user_names.key_of
-        return sorted(str(name_of(u)) for u in self._user_pages)
+        return sorted(self.graph.name_of(u) for u in self.graph.incidence)
 
     def filtered_names(self) -> tuple[str, ...]:
         """Author names the filter has excluded so far (first-seen order)."""
@@ -887,5 +576,5 @@ class DetectionEngine:
         pname = self.proj.page_names.key_of
         return {
             str(uname(u)): {str(pname(p)): int(c) for p, c in pages.items()}
-            for u, pages in self._user_pages.items()
+            for u, pages in self.graph.incidence.items()
         }

@@ -50,6 +50,10 @@ RETRY_AFTER_S = 1
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # waits for the client to ACK the headers, which a delayed-ACK
+    # client holds for ~40 ms on every keep-alive request.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job

@@ -212,10 +212,7 @@ class MultiLayerDetectionEngine:
 
     def fused_component_of(self, author: str) -> list[str]:
         """The author's component in the *fused* union graph."""
-        for comp in self.fused_graph().components(min_size=1):
-            if author in comp:
-                return comp
-        return []
+        return self.fused_graph().component_of(author)
 
     # -- status ------------------------------------------------------------------
     def status(self) -> dict:

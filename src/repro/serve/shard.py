@@ -20,7 +20,7 @@ in one of two modes (``ingest_sharding``):
   :mod:`repro.exec.shm` output path (the transport the engine-state
   handoff already rides) and the facade merges them
   (:mod:`repro.serve.exchange`) before CI thresholding and triangle
-  scoring in an :class:`~repro.serve.exchange.AggregateView`.  Shards
+  scoring in one :class:`~repro.graph.scored.ScoredGraph`.  Shards
   see only a timestamp subset of the stream, so the tier tracks the
   global watermark and broadcasts it (supervisor op ``observe``) so
   every shard's eviction cutoff converges on the single-engine one.
@@ -33,9 +33,11 @@ for the users hashing to ``s``.  ``user_score`` routes to the owner;
 global top-k is the k-way merge of per-shard *owned* candidate lists
 (a triplet is owned by the shard of its lexicographically-first
 author, so each appears exactly once); components are rebuilt by a
-gateway-side union-find over per-shard owned-vertex fragments whose
-boundary edges stitch the cuts back together.  In page mode the same
-merge machinery runs over the aggregate's per-owner views.  Each
+gateway-side component walk over the union of per-shard owned-vertex
+fragments, whose boundary edges stitch the cuts back together.  In
+page mode the same
+merge machinery runs over the aggregate, asked for each owner's slice
+through the same ``owned_top_k`` / ``owned_fragment`` calls.  Each
 answer is bit-identical to the single-engine oracle's
 (:func:`repro.verify.sharded.run_sharded_parity` sweeps both ingest
 modes to enforce this).
@@ -85,10 +87,15 @@ from repro.exec.shm import (
     output_prefix,
     sweep_segments,
 )
+from repro.graph.scored import (
+    ScoredGraph,
+    component_from,
+    component_lists,
+    rank_key,
+)
 from repro.pipeline.config import PipelineConfig
 from repro.serve.engine import DetectionEngine
 from repro.serve.exchange import (
-    AggregateView,
     claim_partial_weights,
     merge_partials,
     pack_str_array,
@@ -112,8 +119,6 @@ __all__ = [
     "shard_of",
 ]
 
-_RANKS = ("t", "c", "min_weight")
-
 #: Supported ``ingest_sharding`` modes of the tier.
 INGEST_MODES = ("replicated", "page")
 
@@ -122,11 +127,6 @@ INGEST_MODES = ("replicated", "page")
 #: incidence (all cutoff-independent) but never materialize thresholded
 #: adjacency or triangles — that work happens once, at the aggregator.
 _LEDGER_ONLY_CUTOFF = 2**62
-
-# Backwards-compatible aliases: the packers now live in
-# repro.serve.exchange (both handoffs share them).
-_pack_str_array = pack_str_array
-_unpack_str_array = unpack_str_array
 
 
 class ShardUnavailableError(RuntimeError):
@@ -147,12 +147,6 @@ class ShardUnavailableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _merge_key(by: str) -> Callable[[dict], tuple]:
-    if by not in _RANKS:
-        raise ValueError(f"unknown ranking {by!r} (use t, c, min_weight)")
-    return lambda row: (-row[by], row["authors"])
-
-
 def merge_topk(per_shard: Iterable[list[dict]], k: int, by: str) -> list[dict]:
     """K-way merge of per-shard owned candidate lists into the global top-k.
 
@@ -161,50 +155,19 @@ def merge_topk(per_shard: Iterable[list[dict]], k: int, by: str) -> list[dict]:
     rows exclusively, so a heap merge of the lists *is* the global
     ranking and its first *k* rows are exact.
     """
-    merged = heapq.merge(*per_shard, key=_merge_key(by))
+    merged = heapq.merge(*per_shard, key=rank_key(by))
     return list(islice(merged, max(int(k), 0)))
 
 
-class _UnionFind:
-    """Small path-compressing union-find over vertex names."""
-
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def add(self, v: str) -> None:
-        self.parent.setdefault(v, v)
-
-    def find(self, v: str) -> str:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> list[list[str]]:
-        by_root: dict[str, list[str]] = {}
-        for v in self.parent:
-            by_root.setdefault(self.find(v), []).append(v)
-        return [sorted(members) for members in by_root.values()]
-
-
-def _fragments_union(fragments: Iterable[dict]) -> _UnionFind:
-    uf = _UnionFind()
+def _fragments_adjacency(fragments: Iterable[dict]) -> dict[str, set[str]]:
+    adj: dict[str, set[str]] = {}
     for frag in fragments:
         for v in frag["vertices"]:
-            uf.add(v)
+            adj.setdefault(v, set())
         for a, b in frag["edges"]:
-            uf.union(a, b)
-    return uf
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return adj
 
 
 def merge_components(
@@ -212,28 +175,24 @@ def merge_components(
 ) -> list[list[str]]:
     """Union per-shard graph fragments into global components.
 
-    Boundary edges are reported by both incident shards; the union-find
-    is idempotent under the duplication.  Output matches
-    :meth:`DetectionEngine.components` exactly: sorted name lists,
+    Boundary edges are reported by both incident shards; the union of
+    fragments is idempotent under the duplication.  Output matches
+    :meth:`DetectionEngine.components` exactly (the same component walk,
+    :func:`repro.graph.scored.component_lists`): sorted name lists,
     floored at *min_component_size*, largest first with lexicographic
     tie-break.
     """
-    groups = [
-        g
-        for g in _fragments_union(fragments).groups()
-        if len(g) >= min_component_size
-    ]
-    groups.sort(key=lambda names: (-len(names), names))
-    return groups
+    return component_lists(
+        _fragments_adjacency(fragments), str, min_component_size
+    )
 
 
 def merged_component_of(fragments: Iterable[dict], author: str) -> list[str]:
     """*author*'s component across fragments (empty when absent/isolated)."""
-    uf = _fragments_union(fragments)
-    if author not in uf.parent:
+    adj = _fragments_adjacency(fragments)
+    if author not in adj:
         return []
-    root = uf.find(author)
-    return sorted(v for v in uf.parent if uf.find(v) == root)
+    return sorted(component_from(adj, author))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +213,7 @@ def publish_engine_state(engine: DetectionEngine, writer: OutputWriter) -> dict:
     arrays, meta = engine_state_arrays(engine)
     packed: dict[str, Any] = {}
     for key, arr in arrays.items():
-        packed[key] = _pack_str_array(arr.tolist()) if arr.dtype == object else arr
+        packed[key] = pack_str_array(arr.tolist()) if arr.dtype == object else arr
     return {"arrays": writer.share(packed), "meta": meta}
 
 
@@ -275,7 +234,7 @@ def claim_engine_state(
     arrays: dict[str, np.ndarray] = {}
     for key, value in packed.items():
         if isinstance(value, dict) and "packed_data" in value:
-            arrays[key] = np.asarray(_unpack_str_array(value), dtype=object)
+            arrays[key] = np.asarray(unpack_str_array(value), dtype=object)
         else:
             arrays[key] = value
     return restore_engine_state(arrays, payload["meta"], config, metrics=metrics)
@@ -381,7 +340,7 @@ class ShardedDetectionService:
         self._max_event_t: int | None = None
         self._events_since_observe = 0
         self._agg_lock = threading.Lock()
-        self._aggregate: AggregateView | None = None
+        self._aggregate: ScoredGraph[str] | None = None
         self._shards: list[_Shard] = []
         try:
             for sid in range(self.n_shards):
@@ -612,13 +571,13 @@ class ShardedDetectionService:
             if shard.sup.degraded:
                 self._begin_restart(shard)
 
-    def _aggregate_view(self) -> AggregateView:
+    def _aggregate_view(self) -> ScoredGraph[str]:
         """The memoized cross-shard aggregate (page mode's query engine).
 
         Runs the partial-weight exchange when stale: flush every shard,
         have each publish its ``w'``/``P'``/incidence partials through
         the shm output path, claim and merge them, then threshold and
-        score once in an :class:`AggregateView`.  A dead shard raises
+        score once in a name-keyed :class:`ScoredGraph`.  A dead shard raises
         :class:`ShardUnavailableError` — an exchange needs every
         partition, so page-mode aggregate queries 503 until the shard's
         restart completes.
@@ -642,9 +601,18 @@ class ShardedDetectionService:
             self.metrics.counter("sharded.exchange_bytes").inc(
                 merged.exchange_bytes
             )
-            view = AggregateView(merged, self.config)
-            self._aggregate = view
-            return view
+            graph: ScoredGraph[str] = ScoredGraph(
+                merged.pair_weights,
+                merged.page_counts,
+                merged.incidence,
+                cutoff=self.config.min_triangle_weight,
+                hypergraph=self.config.compute_hypergraph,
+                min_component_size=self.config.min_component_size,
+                name_of=str,
+                vertex_of=lambda author: author,
+            )
+            self._aggregate = graph
+            return graph
 
     def shard_for(self, author: str) -> int:
         """The shard authoritative for *author* (the routing rule)."""
@@ -658,52 +626,38 @@ class ShardedDetectionService:
             sid = self.shard_for(author)
             return self._query(sid, lambda sup: sup.user_score(author))
 
-    def top_k_triplets(self, k: int = 10, by: str = "t") -> list[dict]:
-        """Global top-k: gather each shard's owned candidates and merge.
+    def _gather_owned(self, ask: Callable[[Any, int], Any]) -> list[Any]:
+        """``ask(source, owner)`` for every query owner, in owner order.
 
-        Page mode runs the same owner-sliced merge over the aggregate:
-        each user-hash owner's candidate list comes out of the exchanged
-        weights, and :func:`merge_topk` stitches them exactly as in
-        replicated mode.
+        The source is the aggregate in page mode and the owner's own
+        shard in replicated mode; both answer the same owned queries.
         """
-        _merge_key(by)  # validate the ranking before any pipe roundtrip
-        if by == "c" and not self.config.compute_hypergraph:
-            raise ValueError("ranking by C requires compute_hypergraph=True")
-        with self.metrics.time("sharded.query.topk"):
-            if self._page_mode:
-                view = self._aggregate_view()
-                per_owner = [
-                    view.owned_top_k(k, by, sid, self.n_shards)
-                    for sid in range(self.n_shards)
-                ]
-                return merge_topk(per_owner, k, by)
-            per_shard = [
-                self._query(
-                    shard.sid,
-                    lambda sup, sid=shard.sid: sup.owned_top_k(
-                        k, by, sid, self.n_shards
-                    ),
-                )
-                for shard in self._shards
-            ]
-            return merge_topk(per_shard, k, by)
-
-    def _gather_fragments(self) -> list[dict]:
         if self._page_mode:
-            view = self._aggregate_view()
-            return [
-                view.owned_fragment(sid, self.n_shards)
-                for sid in range(self.n_shards)
-            ]
+            graph = self._aggregate_view()
+            return [ask(graph, sid) for sid in range(self.n_shards)]
         return [
-            self._query(
-                shard.sid,
-                lambda sup, sid=shard.sid: sup.owned_fragment(
-                    sid, self.n_shards
-                ),
-            )
+            self._query(shard.sid, lambda sup, sid=shard.sid: ask(sup, sid))
             for shard in self._shards
         ]
+
+    def top_k_triplets(self, k: int = 10, by: str = "t") -> list[dict]:
+        """Global top-k: gather each owner's candidates and merge.
+
+        :func:`merge_topk` stitches the per-owner lists, whether they
+        come from the shards or from the page-mode aggregate.
+        """
+        # Validate the ranking before any pipe roundtrip or exchange.
+        rank_key(by, self.config.compute_hypergraph)
+        with self.metrics.time("sharded.query.topk"):
+            per_owner = self._gather_owned(
+                lambda src, sid: src.owned_top_k(k, by, sid, self.n_shards)
+            )
+            return merge_topk(per_owner, k, by)
+
+    def _gather_fragments(self) -> list[dict]:
+        return self._gather_owned(
+            lambda src, sid: src.owned_fragment(sid, self.n_shards)
+        )
 
     def component_of(self, author: str) -> list[str]:
         """*author*'s cross-shard component via the boundary-edge union."""

@@ -56,6 +56,17 @@ from repro.serve.service import DetectionService
 
 __all__ = ["DegradedError", "ServeSupervisor"]
 
+#: Engine queries the child answers; each op is the engine method of the
+#: same name, called with the request's argument tuple.
+_QUERY_OPS = (
+    "top_k_triplets",
+    "owned_top_k",
+    "user_score",
+    "component_of",
+    "components",
+    "owned_fragment",
+)
+
 
 class _ChildUnresponsive(Exception):
     """The child missed its response deadline (treated like a crash)."""
@@ -143,35 +154,8 @@ def _child_main(conn, config, durable, service_kwargs) -> None:
                     conn.send(("ok", svc.status()))
                 elif op == "results":
                     conn.send(("ok", svc.engine.snapshot()))
-                elif op == "top":
-                    k, by = msg[1]
-                    conn.send(("ok", svc.engine.top_k_triplets(k, by=by)))
-                elif op == "owned_top":
-                    k, by, shard_id, n_shards = msg[1]
-                    conn.send(
-                        (
-                            "ok",
-                            svc.engine.owned_top_k_triplets(
-                                k, shard_id, n_shards, by=by
-                            ),
-                        )
-                    )
-                elif op == "user":
-                    conn.send(("ok", svc.engine.user_score(msg[1])))
-                elif op == "component":
-                    conn.send(("ok", svc.engine.component_of(msg[1])))
-                elif op == "components":
-                    conn.send(("ok", svc.engine.components()))
-                elif op == "fragment":
-                    shard_id, n_shards = msg[1]
-                    conn.send(
-                        (
-                            "ok",
-                            svc.engine.owned_component_fragment(
-                                shard_id, n_shards
-                            ),
-                        )
-                    )
+                elif op in _QUERY_OPS:
+                    conn.send(("ok", getattr(svc.engine, op)(*msg[1])))
                 elif op == "state_shm":
                     from repro.serve.shard import publish_engine_state
 
@@ -494,29 +478,29 @@ class ServeSupervisor:
 
     def top_k_triplets(self, k: int = 10, by: str = "t"):
         """Proxy of :meth:`DetectionEngine.top_k_triplets` on the child."""
-        return self._request("top", (k, by))
+        return self._request("top_k_triplets", (k, by))
 
     def user_score(self, author: str) -> dict:
         """Proxy of :meth:`DetectionEngine.user_score` on the child."""
-        return self._request("user", author)
+        return self._request("user_score", (author,))
 
     def component_of(self, author: str) -> list[str]:
         """Proxy of :meth:`DetectionEngine.component_of` on the child."""
-        return self._request("component", author)
+        return self._request("component_of", (author,))
 
     def components(self) -> list[list[str]]:
         """Proxy of :meth:`DetectionEngine.components` on the child."""
-        return self._request("components")
+        return self._request("components", ())
 
     def owned_top_k(
         self, k: int, by: str, shard_id: int, n_shards: int
     ) -> list[dict]:
-        """Proxy of :meth:`DetectionEngine.owned_top_k_triplets`."""
-        return self._request("owned_top", (k, by, shard_id, n_shards))
+        """Proxy of :meth:`DetectionEngine.owned_top_k`."""
+        return self._request("owned_top_k", (k, by, shard_id, n_shards))
 
     def owned_fragment(self, shard_id: int, n_shards: int) -> dict:
-        """Proxy of :meth:`DetectionEngine.owned_component_fragment`."""
-        return self._request("fragment", (shard_id, n_shards))
+        """Proxy of :meth:`DetectionEngine.owned_fragment`."""
+        return self._request("owned_fragment", (shard_id, n_shards))
 
     def engine_state(self, shm_prefix: str) -> dict:
         """Publish the child's full engine state into shared memory.

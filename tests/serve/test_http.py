@@ -1,6 +1,10 @@
 """Tests for the stdlib HTTP gateway (routing, errors, metrics, 503s)."""
 
+import http.client
 import json
+import socket
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -136,6 +140,34 @@ class TestLifecycle:
         gw.close()
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(url + "/status", timeout=1)
+
+
+@pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="needs Linux TCP_QUICKACK"
+)
+class TestKeepAliveLatency:
+    def test_delayed_ack_client_is_not_stalled(self, gateway):
+        """A keep-alive client in delayed-ACK mode must not wait out the
+        ~40 ms ACK timer per request (headers and body are two writes)."""
+        host, port = gateway.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.connect()
+        latencies = []
+        try:
+            for _ in range(20):
+                # Quick-ACK mode re-enables itself; clear it every time.
+                conn.sock.setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_QUICKACK, 0
+                )
+                start = time.perf_counter()
+                conn.request("GET", "/topk?k=5")
+                resp = conn.getresponse()
+                body = resp.read()
+                latencies.append(time.perf_counter() - start)
+                assert resp.status == 200 and body
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 @pytest.mark.faults

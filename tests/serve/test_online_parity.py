@@ -122,17 +122,18 @@ class TestHarnessCatchesBrokenEngine:
     def test_divergence_is_reported(self, monkeypatch):
         """A deliberately broken engine must produce divergences — the
         harness is only trustworthy if it can fail."""
-        from repro.serve.engine import DetectionEngine
+        from repro.graph.scored import ScoredGraph
 
-        original = DetectionEngine._rescore
+        original = ScoredGraph._rescore
 
         def broken(self, keys):
+            keys = list(keys)
             original(self, keys)
             for key in keys:
-                tri = self._tris.get(key)
+                tri = self.triangles.get(key)
                 if tri is not None:
                     tri.t += 1.0          # corrupt every T score
-        monkeypatch.setattr(DetectionEngine, "_rescore", broken)
+        monkeypatch.setattr(ScoredGraph, "_rescore", broken)
         report = run_online_parity(
             clustered_corpus(seed=101),
             config(),

@@ -13,9 +13,8 @@ from repro.serve import (
     ShardedDetectionService,
     shard_of,
 )
+from repro.serve.exchange import pack_str_array, unpack_str_array
 from repro.serve.shard import (
-    _pack_str_array,
-    _unpack_str_array,
     merge_components,
     merge_topk,
     merged_component_of,
@@ -125,8 +124,8 @@ class TestMergeComponents:
 class TestStringPacking:
     def test_roundtrip_unicode_and_empty(self):
         values = ["alice", "ユーザー", "", "x" * 500]
-        assert _unpack_str_array(_pack_str_array(values)) == values
-        assert _unpack_str_array(_pack_str_array([])) == []
+        assert unpack_str_array(pack_str_array(values)) == values
+        assert unpack_str_array(pack_str_array([])) == []
 
 
 class TestShardedParity:
